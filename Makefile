@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-diff lint-sarif test race race-all soak-smoke trace-smoke persist-smoke chaos-smoke bench bench-persist bench-serve bench-smoke bench-compare bench-load load-smoke fuzz fuzz-smoke clean tools report
+.PHONY: all build vet fmt-check lint lint-diff lint-sarif test race race-all soak-smoke trace-smoke persist-smoke chaos-smoke bench bench-persist bench-serve bench-smoke bench-compare bench-load load-smoke fuzz fuzz-smoke clean tools report
 
 all: build vet lint test race
 
@@ -9,6 +9,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails on any tracked Go file that is not gofmt-clean. vendor/ is
+# upstream code and testdata/ fixtures are analyzer inputs whose layout
+# the lint tests pin, so both are exempt.
+GOFMT ?= gofmt
+fmt-check:
+	@unformatted=$$(git ls-files '*.go' | grep -v -e '^vendor/' -e '/testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Runs the project's custom go/analysis suite (internal/lint) on top of
 # go vet: the PR 4 syntactic set (detrand, maporder, iodiscipline,
@@ -149,6 +157,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/subgraph/
 	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=30s ./internal/keccak/
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/trace/
+	$(GO) test -run=FuzzDecodeDataset -fuzz=FuzzDecodeDataset -fuzztime=30s ./internal/dataset/
 
 # Short fuzz pass for CI: 10s per target is enough to catch shallow
 # regressions in the parsers without stalling the pipeline.
@@ -156,6 +165,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/subgraph/
 	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=10s ./internal/keccak/
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
+	$(GO) test -run=FuzzDecodeDataset -fuzz=FuzzDecodeDataset -fuzztime=10s ./internal/dataset/
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

@@ -19,7 +19,9 @@
 //   - with -verify-clean, crawls the same world fault-free and requires
 //     the persisted datasets to be byte-identical — faults may cost
 //     time and restarts, never rows,
-//   - emits CHAOS_REPORT as go-bench lines cmd/benchjson can archive:
+//   - emits CHAOS_REPORT as go-bench lines cmd/benchjson can archive.
+//
+// Usage:
 //
 //	enschaos -campaign blackout-recovery -domains 250 -runs 2 | benchjson -o CHAOS_REPORT.json
 //	enschaos -scenario drills/my-campaign.json -budget-burst 0

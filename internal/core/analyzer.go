@@ -47,13 +47,10 @@ type Analyzer struct {
 	}
 }
 
-// txByHash looks a crawled transaction up by hash, preferring the
-// dataset's Reindex-built index; the lazy local index covers datasets
-// assembled by hand without a Reindex call.
+// txByHash looks a crawled transaction up by hash. The index is built
+// on first use and only by the analyses that need it, so loading a
+// dataset never pays for it.
 func (a *Analyzer) txByHash(h ethtypes.Hash) *dataset.Tx {
-	if tx := a.DS.TxByHash(h); tx != nil {
-		return tx
-	}
 	a.txIndexOnce.Do(func() {
 		a.txIndex = make(map[ethtypes.Hash]*dataset.Tx, len(a.DS.Txs))
 		for _, tx := range a.DS.Txs {

@@ -2,7 +2,23 @@ package core
 
 import (
 	"testing"
+
+	"ensdropcatch/internal/ethtypes"
 )
+
+// The Analyzer's lazy hash index is the only by-hash lookup over a
+// dataset: it must find every crawled tx and nothing else.
+func TestAnalyzerTxByHash(t *testing.T) {
+	_, an := setup(t)
+	for _, tx := range an.DS.Txs {
+		if got := an.txByHash(tx.Hash); got != tx {
+			t.Fatalf("txByHash(%s) = %v, want %v", tx.Hash, got, tx)
+		}
+	}
+	if got := an.txByHash(ethtypes.HashData([]byte("missing"))); got != nil {
+		t.Errorf("missing hash = %v, want nil", got)
+	}
+}
 
 // TestResolutionLogMatchesTruth validates the authoritative measurement:
 // with vendor resolution data, the misdirected set must equal the

@@ -148,7 +148,7 @@ func decodeDataset(data []byte) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	if v != binVersion {
-		return nil, fmt.Errorf("dataset: snapshot version %d not supported (want %d)", v, binVersion)
+		return nil, fmt.Errorf("%w: snapshot version %d not supported (want %d)", ErrCorrupt, v, binVersion)
 	}
 	if nsec != numSections {
 		return nil, fmt.Errorf("%w: %d sections declared, want %d", ErrCorrupt, nsec, numSections)
@@ -373,7 +373,7 @@ func decodeDomainColumns(r *codec.Reader, rows int, ds *Dataset) error {
 }
 
 // encodeTxColumns writes txs column-at-a-time. txs must already be in
-// sortTxsForSave order: timestamps are delta-encoded against the
+// compareTxs order: timestamps are delta-encoded against the
 // previous row and a negative delta would not round-trip.
 func encodeTxColumns(w *codec.Writer, txs []*Tx) {
 	for _, tx := range txs {
@@ -443,9 +443,7 @@ func decodeTxColumns(r *codec.Reader, rows int) ([]Tx, error) {
 	for i := range txs {
 		copy(txs[i].To[:], r.Raw(len(txs[i].To)))
 	}
-	for i := range txs {
-		txs[i].ValueWei = r.String()
-	}
+	r.StringColumn(rows, func(i int, s string) { txs[i].ValueWei = s })
 	bits := r.Raw((rows + 7) / 8)
 	if bits != nil {
 		for i := range txs {

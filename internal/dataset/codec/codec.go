@@ -42,7 +42,7 @@ type Writer struct {
 
 // NewWriter returns a Writer buffering onto w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1 << 20)}
+	return &Writer{w: bufio.NewWriterSize(w, 1<<20)}
 }
 
 // Offset returns the total bytes written so far (including bytes still
@@ -263,6 +263,39 @@ func (r *Reader) Bytes() []byte {
 
 // String reads a uvarint length prefix and that many bytes as a string.
 func (r *Reader) String() string { return string(r.Bytes()) }
+
+// StringColumn reads n consecutive length-prefixed strings and hands
+// each to set in order. The strings are substrings of one copy of the
+// column's bytes: one allocation instead of n, at the price that any
+// retained string keeps the whole column alive. The column is validated
+// before that copy is made, so a hostile length prefix fails the read
+// (and set is never called) instead of driving an allocation.
+func (r *Reader) StringColumn(n int, set func(i int, s string)) {
+	if r.err != nil {
+		return
+	}
+	start := r.off
+	for i := 0; i < n; i++ {
+		l := r.Uvarint()
+		if r.err != nil {
+			return
+		}
+		if l > uint64(r.Remaining()) {
+			r.fail(ErrTruncated)
+			return
+		}
+		r.off += int(l)
+	}
+	col := string(r.b[start:r.off])
+	off := 0
+	for i := 0; i < n; i++ {
+		l, k := binary.Uvarint(r.b[start+off:])
+		off += k
+		end := off + int(l)
+		set(i, col[off:end])
+		off = end
+	}
+}
 
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -154,6 +155,60 @@ func TestBytesRejectsLyingLengthPrefix(t *testing.T) {
 	}
 	if !errors.Is(r.Err(), ErrTruncated) {
 		t.Errorf("Err = %v, want ErrTruncated", r.Err())
+	}
+}
+
+// StringColumn must decode exactly what String would, row for row, and
+// leave the reader where the column ends.
+func TestStringColumnMatchesString(t *testing.T) {
+	col := []string{"1000000000000000000", "", "0", "x", "123456789"}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, s := range col {
+		w.String(s)
+	}
+	w.U8(0xee) // a value after the column
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(buf.Bytes())
+	got := make([]string, len(col))
+	r.StringColumn(len(col), func(i int, s string) { got[i] = s })
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	for i := range col {
+		if got[i] != col[i] {
+			t.Errorf("row %d = %q, want %q", i, got[i], col[i])
+		}
+	}
+	if b := r.U8(); b != 0xee || r.Remaining() != 0 {
+		t.Errorf("reader left at byte %#x with %d remaining", b, r.Remaining())
+	}
+}
+
+// A truncated column, or one whose length prefix lies, fails the read
+// without handing out a single row.
+func TestStringColumnRejectsBadColumns(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.String("gold")
+	w.String("eth")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	lying := []byte{4, 'g', 'o', 'l', 'd', 0x80, 0x80, 0x80, 0x80, 0x02} // 1<<29 bytes claimed
+	cases := map[string][]byte{"lying": lying}
+	for cut := 0; cut < len(full); cut++ {
+		cases[fmt.Sprintf("cut%d", cut)] = full[:cut]
+	}
+	for name, b := range cases {
+		r := NewReader(b)
+		r.StringColumn(2, func(i int, s string) { t.Errorf("%s: row %d handed out on a bad column", name, i) })
+		if !errors.Is(r.Err(), ErrTruncated) {
+			t.Errorf("%s: Err = %v, want ErrTruncated", name, r.Err())
+		}
 	}
 }
 

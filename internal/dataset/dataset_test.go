@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ensdropcatch/internal/etherscan"
+	"ensdropcatch/internal/ethtypes"
 	"ensdropcatch/internal/opensea"
 	"ensdropcatch/internal/subgraph"
 	"ensdropcatch/internal/world"
@@ -260,15 +261,27 @@ func TestTxValueEth(t *testing.T) {
 
 func TestIncomingOfFiltersDirectionWindowAndFailures(t *testing.T) {
 	ds := sharedDataset(t)
-	for addr, txs := range ds.txByAddr {
+	// The endpoints of the first txs cover senders, recipients, and
+	// addresses with failed txs.
+	var addrs []ethtypes.Address
+	for _, tx := range ds.Txs[:min(25, len(ds.Txs))] {
+		addrs = append(addrs, tx.From, tx.To)
+	}
+	for _, addr := range addrs {
 		in := ds.IncomingOf(addr, ds.Start, ds.End+1)
 		for _, tx := range in {
 			if tx.To != addr || tx.Failed {
 				t.Fatal("IncomingOf returned an outgoing or failed tx")
 			}
 		}
-		if len(txs) > 0 {
-			return // one address is enough
+		want := 0
+		for _, tx := range ds.Txs {
+			if tx.To == addr && !tx.Failed && tx.Timestamp >= ds.Start && tx.Timestamp < ds.End+1 {
+				want++
+			}
+		}
+		if len(in) != want {
+			t.Fatalf("IncomingOf(%s) = %d txs, linear scan says %d", addr, len(in), want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ensdropcatch/internal/ethtypes"
@@ -60,7 +62,7 @@ func TestIncomingOfMatchesLinearScan(t *testing.T) {
 	for from := int64(0); from <= 500; from += 50 {
 		for to := from; to <= 500; to += 50 {
 			var want int
-			for _, tx := range ds.TxsOf(b) {
+			for _, tx := range ds.Txs {
 				if tx.To == b && tx.Timestamp >= from && tx.Timestamp < to && !tx.Failed {
 					want++
 				}
@@ -86,18 +88,6 @@ func TestOutgoingTo(t *testing.T) {
 	}
 	if got := len(ds.OutgoingTo(c, a)); got != 0 {
 		t.Errorf("c->a = %d txs, want 0", got)
-	}
-}
-
-func TestTxByHash(t *testing.T) {
-	ds, _, _, _ := indexFixture(t)
-	for _, tx := range ds.Txs {
-		if got := ds.TxByHash(tx.Hash); got != tx {
-			t.Fatalf("TxByHash(%s) = %v, want %v", tx.Hash, got, tx)
-		}
-	}
-	if got := ds.TxByHash(ethtypes.HashData([]byte("missing"))); got != nil {
-		t.Errorf("missing hash = %v, want nil", got)
 	}
 }
 
@@ -137,5 +127,105 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	ds2.Txs[0].Timestamp++
 	if got := ds2.Fingerprint(); got == fp1 {
 		t.Fatal("mutation not detected")
+	}
+}
+
+// randomIndexFixture builds a shuffled dataset over a few addresses so
+// that every index edge case recurs: timestamp ties (within and across
+// blocks), self-transfers, failed txs, and one sender paying many
+// recipients. The returned probes add an address that never transacts.
+func randomIndexFixture(seed int64) (*Dataset, []ethtypes.Address) {
+	rng := rand.New(rand.NewSource(seed))
+	probes := make([]ethtypes.Address, 10)
+	for i := range probes {
+		probes[i] = ethtypes.DeriveAddress(fmt.Sprintf("prop-%d", i))
+	}
+	whale := probes[0]
+	ds := New(0, 1000)
+	for i := 0; i < 300; i++ {
+		from := probes[rng.Intn(len(probes)-1)]
+		if i%3 == 0 {
+			from = whale
+		}
+		to := probes[rng.Intn(len(probes)-1)]
+		if rng.Intn(10) == 0 {
+			to = from
+		}
+		ts := int64(rng.Intn(40)) * 10
+		ds.Txs = append(ds.Txs, &Tx{
+			Hash:      ethtypes.HashData([]byte(fmt.Sprintf("prop-%d-%d", seed, i))),
+			Block:     uint64(ts) + uint64(rng.Intn(2)),
+			Timestamp: ts,
+			From:      from,
+			To:        to,
+			ValueWei:  fmt.Sprint(rng.Intn(1000)),
+			Failed:    rng.Intn(6) == 0,
+		})
+	}
+	rng.Shuffle(len(ds.Txs), func(i, j int) { ds.Txs[i], ds.Txs[j] = ds.Txs[j], ds.Txs[i] })
+	return ds, probes
+}
+
+// scanTxs is the brute-force reference: the txs of ds.Txs, in order,
+// that keep reports true for.
+func scanTxs(ds *Dataset, keep func(tx *Tx) bool) []*Tx {
+	var out []*Tx
+	for _, tx := range ds.Txs {
+		if keep(tx) {
+			out = append(out, tx)
+		}
+	}
+	return out
+}
+
+func checkIndexAgainstScan(t *testing.T, ds *Dataset, probes []ethtypes.Address) {
+	t.Helper()
+	if !slices.IsSortedFunc(ds.Txs, compareTxs) {
+		t.Fatal("Txs not in canonical order after Reindex")
+	}
+	same := func(what string, got, want []*Tx) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: index returned %d txs, linear scan %d (or a different order)", what, len(got), len(want))
+		}
+	}
+	for _, a := range probes {
+		same(fmt.Sprintf("IncomingAll(%s)", a), ds.IncomingAll(a),
+			scanTxs(ds, func(tx *Tx) bool { return tx.To == a && !tx.Failed }))
+		for from := int64(-10); from <= 410; from += 10 {
+			for to := from; to <= 410; to += 10 {
+				same(fmt.Sprintf("IncomingOf(%s, %d, %d)", a, from, to), ds.IncomingOf(a, from, to),
+					scanTxs(ds, func(tx *Tx) bool {
+						return tx.To == a && !tx.Failed && tx.Timestamp >= from && tx.Timestamp < to
+					}))
+			}
+		}
+		for _, b := range probes {
+			same(fmt.Sprintf("OutgoingTo(%s, %s)", a, b), ds.OutgoingTo(a, b),
+				scanTxs(ds, func(tx *Tx) bool { return tx.From == a && tx.To == b && !tx.Failed }))
+		}
+	}
+}
+
+// The flat index must agree with brute-force scans of Txs for every
+// address and window: after a first Reindex, after a second one
+// (idempotence), and after an out-of-order append forces the sort.
+func TestFlatIndexMatchesLinearScans(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ds, probes := randomIndexFixture(seed)
+		ds.Reindex()
+		checkIndexAgainstScan(t, ds, probes)
+
+		ds.Reindex()
+		checkIndexAgainstScan(t, ds, probes)
+
+		late := &Tx{Hash: ethtypes.HashData([]byte("prop-late")), Block: 5, Timestamp: 5,
+			From: probes[0], To: probes[len(probes)-1], ValueWei: "7"}
+		ds.Txs = append(ds.Txs, late)
+		ds.Reindex()
+		checkIndexAgainstScan(t, ds, probes)
+		if got := ds.OutgoingTo(probes[0], probes[len(probes)-1]); len(got) != 1 || got[0] != late {
+			t.Fatalf("seed %d: appended tx not indexed: %v", seed, got)
+		}
 	}
 }

@@ -3,11 +3,14 @@ package dataset
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"ensdropcatch/internal/ethtypes"
@@ -219,26 +222,12 @@ func (ds *Dataset) sortedDomains() []*Domain {
 	return domains
 }
 
-// sortedTxs returns a copy of Txs in (timestamp, block, hash) order — a
-// strict total order over the deduplicated list, so files are
-// byte-identical across runs regardless of crawl concurrency.
+// sortedTxs returns a copy of Txs in canonical (compareTxs) order, so
+// files are byte-identical across runs regardless of crawl concurrency.
 func (ds *Dataset) sortedTxs() []*Tx {
-	txs := append([]*Tx(nil), ds.Txs...)
-	sortTxsForSave(txs)
+	txs := slices.Clone(ds.Txs)
+	sortTxs(txs)
 	return txs
-}
-
-// sortTxsForSave sorts txs in place into the persisted total order.
-func sortTxsForSave(txs []*Tx) {
-	sort.Slice(txs, func(i, j int) bool {
-		if txs[i].Timestamp != txs[j].Timestamp {
-			return txs[i].Timestamp < txs[j].Timestamp
-		}
-		if txs[i].Block != txs[j].Block {
-			return txs[i].Block < txs[j].Block
-		}
-		return bytes.Compare(txs[i].Hash[:], txs[j].Hash[:]) < 0
-	})
 }
 
 // sortedSubdomains returns a copy of Subdomains stably sorted by node
@@ -272,13 +261,18 @@ func (ds *Dataset) sortedMarket() []MarketEvent {
 		if a.Kind != b.Kind {
 			return a.Kind < b.Kind
 		}
-		if a.PriceUSD != b.PriceUSD {
-			return a.PriceUSD < b.PriceUSD
+		if c := cmp.Compare(a.PriceUSD, b.PriceUSD); c != 0 {
+			return c < 0
 		}
 		if a.Seller != b.Seller {
 			return a.Seller < b.Seller
 		}
-		return a.Buyer < b.Buyer
+		if a.Buyer != b.Buyer {
+			return a.Buyer < b.Buyer
+		}
+		// cmp.Compare equates -0 with +0 and all NaNs; the bits tell
+		// them apart, keeping the order total.
+		return math.Float64bits(a.PriceUSD) < math.Float64bits(b.PriceUSD)
 	})
 	return market
 }

@@ -2,10 +2,15 @@ package dataset
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +24,7 @@ import (
 // every-byte truncation sweeps over its persisted form stay fast, while
 // still populating every section and every field class (empty labels,
 // failed txs, equal timestamps, multi-event tokens, both custodial sets).
-func tinyDataset(t *testing.T) *Dataset {
+func tinyDataset(t testing.TB) *Dataset {
 	t.Helper()
 	mkHash := func(b byte) (h ethtypes.Hash) {
 		for i := range h {
@@ -152,6 +157,44 @@ func TestSaveSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// Reindex and every saver share one canonical tx order, compareTxs.
+// The tiny dataset's fingerprint and snapshot bytes are pinned outright
+// (its equal-timestamp pair sits in different blocks). The world dataset
+// checks that unifying the order moved nothing: its in-memory order is
+// the save order and also the (timestamp, hash) order Reindex used
+// before, so neither its Fingerprint nor its snapshot bytes changed.
+func TestSnapshotBytesAndFingerprintPinnedByCanonicalOrder(t *testing.T) {
+	tiny := tinyDataset(t)
+	if got, want := tiny.Fingerprint(), uint64(0xfa3891ff4e7e40bb); got != want {
+		t.Errorf("tiny Fingerprint = %#x, want %#x", got, want)
+	}
+	path := filepath.Join(t.TempDir(), "tiny.snap")
+	if err := tiny.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(b)), "2832f99e66532f0d30929937a01f5e72f523c6e6014893c574b9f65530b0d10b"; got != want {
+		t.Errorf("tiny snapshot sha256 = %s, want %s", got, want)
+	}
+
+	ds := sharedDataset(t)
+	if !slices.Equal(ds.sortedTxs(), ds.Txs) {
+		t.Fatal("Reindex order differs from the save order")
+	}
+	legacy := func(a, b *Tx) int {
+		if c := cmp.Compare(a.Timestamp, b.Timestamp); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.Hash[:], b.Hash[:])
+	}
+	if !slices.IsSortedFunc(ds.Txs, legacy) {
+		t.Fatal("world txs tie on timestamp across blocks: the canonical order changed its Fingerprint")
+	}
+}
+
 // loadViaJSON saves ds as JSON into a temp dir and loads it back,
 // producing the canonical persisted-order dataset to compare against.
 func loadViaJSON(t *testing.T, ds *Dataset) (*Dataset, error) {
@@ -198,6 +241,34 @@ func TestSaveLoadSaveIsByteStable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Market rows that differ only in a NaN payload or the sign of a zero
+// price must still sort into one order whatever order they arrive in;
+// otherwise re-saving a loaded snapshot could reorder them.
+func TestSortedMarketIsTotalOverNaNAndSignedZero(t *testing.T) {
+	tok := ethtypes.HashData([]byte("tok"))
+	prices := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), 0, 1}
+	var want []uint64
+	for perm := 0; perm < 20; perm++ {
+		ds := New(0, 1)
+		for i := range prices {
+			p := prices[(i+perm)%len(prices)]
+			if perm%2 == 1 {
+				p = prices[len(prices)-1-(i+perm)%len(prices)]
+			}
+			ds.Market[tok] = append(ds.Market[tok], MarketEvent{Kind: MarketSale, TokenID: tok, PriceUSD: p, Timestamp: 5})
+		}
+		var got []uint64
+		for _, e := range ds.sortedMarket() {
+			got = append(got, math.Float64bits(e.PriceUSD))
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("arrival order %d sorts to %x, first order gave %x", perm, got, want)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -243,8 +244,8 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 // line boundary: snapshots are written under the same lock as spool
 // appends, after complete entries only.
 func writeSpoolSnapshot(fsys vfs.FS, path string, txs []*Tx, covered int64, sync bool) error {
-	sorted := append([]*Tx(nil), txs...)
-	sortTxsForSave(sorted)
+	sorted := slices.Clone(txs)
+	sortTxs(sorted)
 	return writeAtomic(fsys, path, sync, func(f vfs.File) error {
 		w := codec.NewWriter(f)
 		w.Raw(snapMagic)
@@ -336,7 +337,7 @@ func recoverSpool(path string, startOffset int64, cp *crawler.Checkpoint, absorb
 	}
 	r := bufio.NewReaderSize(f, 1<<20)
 	offset := startOffset // start of the line being read
-	var bad []byte   // first undecodable line seen
+	var bad []byte        // first undecodable line seen
 	badOffset := int64(-1)
 	for {
 		line, err := r.ReadBytes('\n')

@@ -9,8 +9,10 @@ package dataset
 
 import (
 	"bytes"
+	"cmp"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -170,16 +172,17 @@ type Dataset struct {
 	Market map[ethtypes.Hash][]MarketEvent
 
 	// Derived indexes (built by Reindex).
-	byLabel  map[string]ethtypes.Hash
-	txByAddr map[ethtypes.Address][]*Tx
-	// inByAddr holds each address's successful incoming transactions in
-	// timestamp order, so IncomingOf can binary-search its window.
-	inByAddr map[ethtypes.Address][]*Tx
-	// outByAddr holds each address's successful outgoing transactions
-	// sorted by (recipient, timestamp), so OutgoingTo can binary-search
+	byLabel map[string]ethtypes.Hash
+	// addrID gives every address that sent or received a successful
+	// transaction a dense id; ids rank the addresses in byte order.
+	addrID map[ethtypes.Address]int32
+	// in and out are flat CSR arrays of the successful transactions:
+	// in[inOff[id]:inOff[id+1]] is address id's incoming list in
+	// canonical order, and out[outOff[id]:outOff[id+1]] its outgoing list
+	// in (recipient, canonical) order, so OutgoingTo can binary-search
 	// the contiguous per-recipient run.
-	outByAddr map[ethtypes.Address][]*Tx
-	txByHash  map[ethtypes.Hash]*Tx
+	in, out       []*Tx
+	inOff, outOff []int32
 }
 
 // New returns an empty dataset for the given window.
@@ -194,9 +197,36 @@ func New(start, end int64) *Dataset {
 	}
 }
 
+// compareTxs is the canonical transaction order, (timestamp, block,
+// hash): a strict total order over the deduplicated list. Reindex keeps
+// Txs in it and every persisted layout writes it. The crawl appends
+// per-address results in worker completion order, and a timestamp-only
+// stable sort would leak that scheduling into the dataset (and its
+// Fingerprint); the tie-breaks make the order a pure function of content.
+func compareTxs(a, b *Tx) int {
+	if c := cmp.Compare(a.Timestamp, b.Timestamp); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Block, b.Block); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.Hash[:], b.Hash[:])
+}
+
+// sortTxs puts txs in compareTxs order. Sorted input, such as a loaded
+// snapshot, is left untouched, so saving a loaded dataset is a fixed
+// point even when keys collide (a repeated hash; a deduplicated list
+// has none).
+func sortTxs(txs []*Tx) {
+	if !slices.IsSortedFunc(txs, compareTxs) {
+		slices.SortFunc(txs, compareTxs)
+	}
+}
+
 // Reindex rebuilds derived indexes after Domains/Txs mutate. It sorts each
-// domain's events and the global transaction list by timestamp, builds the
-// per-address incoming/outgoing and by-hash indexes, and caches every
+// domain's events by timestamp and the global transaction list into
+// canonical order (skipped when already sorted, as a loaded snapshot is),
+// builds the per-address incoming/outgoing indexes, and caches every
 // transaction's parsed ether value. All indexes are read-only afterwards
 // and safe for concurrent readers; the slices returned by the accessors
 // alias them and must not be mutated.
@@ -217,53 +247,99 @@ func (ds *Dataset) Reindex() {
 		sort.SliceStable(d.Events, func(x, y int) bool { return d.Events[x].Timestamp < d.Events[y].Timestamp })
 	})
 
-	// (Timestamp, Hash) is a strict total order over the deduplicated
-	// transaction list: the crawl appends per-address results in worker
-	// completion order, and a timestamp-only stable sort would preserve
-	// that arbitrary order among equal-timestamp transactions, making the
-	// dataset (and its fingerprint) vary run to run.
-	sort.Slice(ds.Txs, func(i, j int) bool {
-		if ds.Txs[i].Timestamp != ds.Txs[j].Timestamp {
-			return ds.Txs[i].Timestamp < ds.Txs[j].Timestamp
-		}
-		return bytes.Compare(ds.Txs[i].Hash[:], ds.Txs[j].Hash[:]) < 0
-	})
+	sortTxs(ds.Txs)
 	par.ForEach(pool, len(ds.Txs), func(i int) {
 		tx := ds.Txs[i]
 		tx.valueEth = parseWeiEth(tx.ValueWei)
 		tx.valueCached = true
 	})
+	ds.indexAddrs()
+}
 
-	ds.txByAddr = make(map[ethtypes.Address][]*Tx)
-	ds.inByAddr = make(map[ethtypes.Address][]*Tx)
-	ds.outByAddr = make(map[ethtypes.Address][]*Tx)
-	ds.txByHash = make(map[ethtypes.Hash]*Tx, len(ds.Txs))
-	for _, tx := range ds.Txs {
-		ds.txByAddr[tx.From] = append(ds.txByAddr[tx.From], tx)
-		if tx.To != tx.From {
-			ds.txByAddr[tx.To] = append(ds.txByAddr[tx.To], tx)
-		}
-		ds.txByHash[tx.Hash] = tx
-		if !tx.Failed {
-			ds.inByAddr[tx.To] = append(ds.inByAddr[tx.To], tx)
-			ds.outByAddr[tx.From] = append(ds.outByAddr[tx.From], tx)
-		}
+// indexAddrs builds the address table and the CSR incoming/outgoing
+// arrays from the canonically ordered Txs without a single comparison
+// sort of transactions: both arrays come from stable counting passes.
+func (ds *Dataset) indexAddrs() {
+	if len(ds.Txs) > math.MaxInt32/2 {
+		panic("dataset: Reindex: too many transactions for int32 address ids")
 	}
-	// inByAddr inherits the global timestamp order from the append pass;
-	// outByAddr needs the (recipient, timestamp) order. The stable sort by
-	// recipient alone preserves the timestamp order within each run, and
-	// the per-address sorts are independent, so they fan out freely.
-	outAddrs := make([]ethtypes.Address, 0, len(ds.outByAddr))
-	for a := range ds.outByAddr {
-		//lint:allow maporder outAddrs only fans out the per-address sorts below; each list is sorted independently and no order reaches output
-		outAddrs = append(outAddrs, a)
+	// One pass hands out ids in first-seen order and records each
+	// successful transaction's endpoint ids.
+	ids := make(map[ethtypes.Address]int32, len(ds.addrID))
+	var addrs []ethtypes.Address
+	idOf := func(a ethtypes.Address) int32 {
+		id, ok := ids[a]
+		if !ok {
+			id = int32(len(addrs))
+			ids[a] = id
+			addrs = append(addrs, a)
+		}
+		return id
 	}
-	par.ForEach(pool, len(outAddrs), func(i int) {
-		list := ds.outByAddr[outAddrs[i]]
-		sort.SliceStable(list, func(x, y int) bool {
-			return bytes.Compare(list[x].To[:], list[y].To[:]) < 0
-		})
-	})
+	ok := make([]int32, 0, len(ds.Txs))
+	from := make([]int32, len(ds.Txs))
+	to := make([]int32, len(ds.Txs))
+	for i, tx := range ds.Txs {
+		if tx.Failed {
+			continue
+		}
+		ok = append(ok, int32(i))
+		from[i] = idOf(tx.From)
+		to[i] = idOf(tx.To)
+	}
+
+	// Re-rank the ids in address byte order, so each sender's
+	// recipient-grouped run is sorted by recipient bytes.
+	byAddr := make([]int32, len(addrs))
+	for i := range byAddr {
+		byAddr[i] = int32(i)
+	}
+	slices.SortFunc(byAddr, func(x, y int32) int { return bytes.Compare(addrs[x][:], addrs[y][:]) })
+	rank := make([]int32, len(addrs))
+	for r, id := range byAddr {
+		rank[id] = int32(r)
+		ids[addrs[id]] = int32(r)
+	}
+	for _, i := range ok {
+		from[i], to[i] = rank[from[i]], rank[to[i]]
+	}
+
+	// Grouping the canonical order by recipient gives the incoming
+	// lists; regrouping that by sender gives each sender's run in
+	// (recipient, canonical) order.
+	byTo, inOff := groupBy(ok, to, len(addrs))
+	byFrom, outOff := groupBy(byTo, from, len(addrs))
+	ds.addrID = ids
+	ds.in, ds.inOff = ds.txsAt(byTo), inOff
+	ds.out, ds.outOff = ds.txsAt(byFrom), outOff
+}
+
+// groupBy stably buckets the transaction indexes idx by key[i] in
+// [0, n): bucket k holds grouped[off[k]:off[k+1]], in idx order.
+func groupBy(idx, key []int32, n int) (grouped, off []int32) {
+	off = make([]int32, n+1)
+	for _, i := range idx {
+		off[key[i]+1]++
+	}
+	for k := 0; k < n; k++ {
+		off[k+1] += off[k]
+	}
+	next := slices.Clone(off[:n])
+	grouped = make([]int32, len(idx))
+	for _, i := range idx {
+		k := key[i]
+		grouped[next[k]] = i
+		next[k]++
+	}
+	return grouped, off
+}
+
+func (ds *Dataset) txsAt(idx []int32) []*Tx {
+	txs := make([]*Tx, len(idx))
+	for p, i := range idx {
+		txs[p] = ds.Txs[i]
+	}
+	return txs
 }
 
 // ByLabel looks a domain up by its plaintext label.
@@ -275,41 +351,39 @@ func (ds *Dataset) ByLabel(label string) (*Domain, bool) {
 	return ds.Domains[lh], true
 }
 
-// TxsOf returns the transactions involving addr, in time order.
-func (ds *Dataset) TxsOf(addr ethtypes.Address) []*Tx {
-	return ds.txByAddr[addr]
-}
-
 // IncomingAll returns every successful transaction received by addr, in
 // time order. The slice aliases the index; callers must not mutate it.
 func (ds *Dataset) IncomingAll(addr ethtypes.Address) []*Tx {
-	return ds.inByAddr[addr]
+	id, ok := ds.addrID[addr]
+	if !ok {
+		return nil
+	}
+	return ds.in[ds.inOff[id]:ds.inOff[id+1]:ds.inOff[id+1]]
 }
 
 // IncomingOf returns the successful transactions received by addr in
-// [from, to), in time order, by binary-searching the per-address index —
+// [from, to), in time order, by binary-searching the per-address run —
 // O(log n + k) instead of a scan over the address's full history. The
 // slice aliases the index; callers must not mutate it.
 func (ds *Dataset) IncomingOf(addr ethtypes.Address, from, to int64) []*Tx {
-	list := ds.inByAddr[addr]
+	list := ds.IncomingAll(addr)
 	lo := sort.Search(len(list), func(i int) bool { return list[i].Timestamp >= from })
 	hi := lo + sort.Search(len(list[lo:]), func(i int) bool { return list[lo+i].Timestamp >= to })
-	return list[lo:hi]
+	return list[lo:hi:hi]
 }
 
 // OutgoingTo returns from's successful payments to to, in time order,
-// by binary-searching the (recipient, timestamp)-sorted outgoing index.
-// The slice aliases the index; callers must not mutate it.
+// by binary-searching the recipient-grouped outgoing run. The slice
+// aliases the index; callers must not mutate it.
 func (ds *Dataset) OutgoingTo(from, to ethtypes.Address) []*Tx {
-	list := ds.outByAddr[from]
+	id, ok := ds.addrID[from]
+	if !ok {
+		return nil
+	}
+	list := ds.out[ds.outOff[id]:ds.outOff[id+1]]
 	lo := sort.Search(len(list), func(i int) bool { return bytes.Compare(list[i].To[:], to[:]) >= 0 })
 	hi := lo + sort.Search(len(list[lo:]), func(i int) bool { return list[lo+i].To != to })
-	return list[lo:hi]
-}
-
-// TxByHash returns the transaction with the given hash, or nil.
-func (ds *Dataset) TxByHash(h ethtypes.Hash) *Tx {
-	return ds.txByHash[h]
+	return list[lo:hi:hi]
 }
 
 // IsCustodial reports whether addr belongs to a non-Coinbase custodial

@@ -72,10 +72,10 @@ func TestRegisterDebugServesMetricsAndProfiles(t *testing.T) {
 	defer srv.Close()
 
 	for path, want := range map[string]string{
-		"/metrics":              "debug_smoke_total 1",
-		"/debug/pprof/":         "goroutine",
-		"/debug/vars":           "memstats",
-		"/debug/pprof/cmdline":  "",
+		"/metrics":             "debug_smoke_total 1",
+		"/debug/pprof/":        "goroutine",
+		"/debug/vars":          "memstats",
+		"/debug/pprof/cmdline": "",
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
