@@ -75,9 +75,11 @@ trace-smoke:
 # save->load->save byte-stability in both formats, every-byte and strided
 # truncation sweeps over the binary snapshot and the JSONL sections,
 # crash-atomic save (no temp residue, old data survives failed writes),
-# torn/stale spool-snapshot fallback on the resumable crawl.
+# the spool snapshot's prefix-or-reject sweep, encode-once and
+# append-fault drills, torn/stale spool-snapshot fallback on the
+# resumable crawl, and spool lines byte-identical to json.Encoder.
 persist-smoke:
-	$(GO) test -race -count=1 -run 'TestBinary|TestSave|TestTruncated|TestTornSnapshot|TestSnapshot|TestSpoolSnapshot|TestMixedGeneration|TestLoad|TestWriteAtomic' -v ./internal/dataset/
+	$(GO) test -race -count=1 -run 'TestBinary|TestSave|TestTruncated|TestTornSnapshot|TestSnapshot|TestSpoolSnapshot|TestSpoolLine|TestMixedGeneration|TestLoad|TestWriteAtomic' -v ./internal/dataset/
 	$(GO) test -race -count=1 ./internal/dataset/codec/
 
 # Chaos-campaign drill under the race detector: the built-in
@@ -158,6 +160,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=30s ./internal/keccak/
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/trace/
 	$(GO) test -run=FuzzDecodeDataset -fuzz=FuzzDecodeDataset -fuzztime=30s ./internal/dataset/
+	$(GO) test -run='^FuzzSpoolSnapshot$$' -fuzz='^FuzzSpoolSnapshot$$' -fuzztime=30s ./internal/dataset/
+	$(GO) test -run='^FuzzSpoolLine$$' -fuzz='^FuzzSpoolLine$$' -fuzztime=30s ./internal/dataset/
 
 # Short fuzz pass for CI: 10s per target is enough to catch shallow
 # regressions in the parsers without stalling the pipeline.
@@ -166,6 +170,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=10s ./internal/keccak/
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
 	$(GO) test -run=FuzzDecodeDataset -fuzz=FuzzDecodeDataset -fuzztime=10s ./internal/dataset/
+	$(GO) test -run='^FuzzSpoolSnapshot$$' -fuzz='^FuzzSpoolSnapshot$$' -fuzztime=10s ./internal/dataset/
+	$(GO) test -run='^FuzzSpoolLine$$' -fuzz='^FuzzSpoolLine$$' -fuzztime=10s ./internal/dataset/
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

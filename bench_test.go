@@ -639,8 +639,13 @@ func BenchmarkResolutionLogAuthoritative(b *testing.B) {
 // Sub-benchmark names carry the world size (save_json_20k, ...) so the
 // 20k and 100k passes of `make bench-persist` land as separate entries
 // in BENCH_PR7.json instead of the second overwriting the first.
+//
+// resume_crawl_<n>k times the resumable crawl that produces the dataset:
+// in-process sources, a fresh ResumeDir per op and the default spool
+// snapshot interval, so the snapshot's cost is archived next to save and
+// load. snapshot_bytes/op is the size of the txspool.snap it leaves.
 func BenchmarkDatasetPersist(b *testing.B) {
-	_, ds, _ := benchWorld(b)
+	res, ds, _ := benchWorld(b)
 	sizeTag := fmt.Sprintf("%dk", benchDomains()/1000)
 	for _, format := range []dataset.Format{dataset.FormatJSON, dataset.FormatBinary} {
 		dir := filepath.Join(b.TempDir(), format.String())
@@ -695,6 +700,39 @@ func BenchmarkDatasetPersist(b *testing.B) {
 			b.ReportMetric(float64(benchDomains()), "world_domains")
 		})
 	}
+
+	store := &dataset.StoreSource{Store: subgraph.BuildIndex(res.Chain)}
+	chain := &dataset.ChainSource{Chain: res.Chain, Labels: dataset.LabelsFromWorld(res)}
+	market := dataset.NewMarketEventsSource(res.OpenSea)
+	b.Run("resume_crawl_"+sizeTag, func(b *testing.B) {
+		root := b.TempDir()
+		var snapBytes int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dir := filepath.Join(root, strconv.Itoa(i))
+			crawled, err := dataset.Build(context.Background(), store, chain, market, dataset.BuildOptions{
+				Start: res.Config.Start, End: res.Config.End, ResumeDir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if crawled.Fingerprint() != ds.Fingerprint() {
+				b.Fatal("resumable crawl changed the dataset fingerprint")
+			}
+			fi, err := os.Stat(filepath.Join(dir, "txspool.snap"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			snapBytes += fi.Size()
+			if err := os.RemoveAll(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(snapBytes)/float64(b.N), "snapshot_bytes/op")
+		b.ReportMetric(float64(benchDomains()), "world_domains")
+	})
 }
 
 // BenchmarkAblationControlSampling compares the sampled control group

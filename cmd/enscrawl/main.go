@@ -43,7 +43,7 @@ func main() {
 		resume      = flag.String("resume", "", "spool/checkpoint directory; an interrupted crawl restarts where it stopped")
 		fsync       = flag.Bool("fsync", false, "fsync the spool, checkpoint, and saved dataset at every commit (survives power loss, costs throughput)")
 		format      = flag.String("format", "json", "saved dataset encoding: json (directory of JSONL, diff-friendly) or binary (columnar dataset.bin, fast to load at scale)")
-		snapEvery   = flag.Int("snapshot-every", 0, "with -resume, write a binary spool snapshot every N completed addresses so the next resume replays only the spool tail (0 = default 256, negative = off)")
+		snapEvery   = flag.Int("snapshot-every", 0, "with -resume, append a binary spool snapshot segment every N completed addresses so the next resume replays only the spool tail; each segment costs the transactions absorbed since the last (0 = default 256, negative = off)")
 		breaker     = flag.Int("breaker-threshold", 8, "consecutive transport failures before a source's circuit opens (0 = breakers off)")
 		cooldown    = flag.Duration("breaker-cooldown", 15*time.Second, "how long an open circuit waits before probing the source again")
 		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics and /debug/pprof on this address while crawling (empty = disabled)")

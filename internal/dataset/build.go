@@ -55,10 +55,12 @@ type BuildOptions struct {
 	// completed address, making resume state survive power loss rather
 	// than just process death. Opt-in: it costs two fsyncs per address.
 	FsyncCheckpoint bool
-	// SpoolSnapshotEvery writes a binary spool snapshot every that many
-	// completed addresses, so resume replays only the spool tail instead
-	// of re-parsing the whole JSONL spool. 0 defaults to 256; negative
-	// disables snapshots.
+	// SpoolSnapshotEvery appends a binary spool snapshot segment every
+	// that many completed addresses, so resume replays only the spool
+	// tail instead of re-parsing the whole JSONL spool. Each segment
+	// holds only the transactions absorbed since the previous one, so a
+	// snapshot costs the interval's delta, not the crawl so far. 0
+	// defaults to 256; negative disables snapshots.
 	SpoolSnapshotEvery int
 	// FS routes the resumable crawl's spool, snapshot, and checkpoint
 	// writes through an injectable filesystem (nil uses vfs.OS). Chaos

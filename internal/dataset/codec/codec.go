@@ -70,33 +70,31 @@ func (w *Writer) write(p []byte) {
 	w.err = err
 }
 
+// Fixed-size values are appended straight into the bufio buffer's free
+// space (AvailableBuffer) and committed with write, so no scratch array
+// escapes to the heap per value.
+
 // Uvarint writes v in unsigned varint encoding.
 func (w *Writer) Uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.write(buf[:binary.PutUvarint(buf[:], v)])
+	w.write(binary.AppendUvarint(w.w.AvailableBuffer(), v))
 }
 
 // Varint writes v in zig-zag varint encoding.
 func (w *Writer) Varint(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.write(buf[:binary.PutVarint(buf[:], v)])
+	w.write(binary.AppendVarint(w.w.AvailableBuffer(), v))
 }
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.write([]byte{v}) }
+func (w *Writer) U8(v uint8) { w.write(append(w.w.AvailableBuffer(), v)) }
 
 // U16 writes a fixed-width little-endian uint16.
 func (w *Writer) U16(v uint16) {
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], v)
-	w.write(buf[:])
+	w.write(binary.LittleEndian.AppendUint16(w.w.AvailableBuffer(), v))
 }
 
 // U64 writes a fixed-width little-endian uint64.
 func (w *Writer) U64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.write(buf[:])
+	w.write(binary.LittleEndian.AppendUint64(w.w.AvailableBuffer(), v))
 }
 
 // F64 writes the IEEE-754 bits of v, fixed-width little-endian.

@@ -4,20 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"ensdropcatch/internal/crawler"
-	"ensdropcatch/internal/dataset/codec"
 	"ensdropcatch/internal/ethtypes"
+	"ensdropcatch/internal/httpjson"
 	"ensdropcatch/internal/trace"
 	"ensdropcatch/internal/vfs"
 )
@@ -37,11 +37,13 @@ import (
 // line for a checkpointed address (or any corrupt non-final line) means
 // data that was promised durable is gone, which is a hard error.
 
-// A spool snapshot (txspool.snap) accelerates that recovery: it holds
-// every transaction absorbed so far in binary columnar form plus the
-// spool byte offset those entries cover, so resume loads one file and
-// replays only the spool tail instead of re-parsing gigabytes of JSONL.
-// The spool stays the source of truth — a missing, torn, or stale
+// A spool snapshot (txspool.snap, see spoolsnap.go) accelerates that
+// recovery: it holds every transaction absorbed so far in binary
+// columnar form plus the spool byte offset those entries cover, so
+// resume loads one file and replays only the spool tail instead of
+// re-parsing gigabytes of JSONL. The snapshot is append-only: each write
+// adds a segment with just the transactions absorbed since the last
+// one. The spool stays the source of truth — a missing, torn, or stale
 // snapshot is never an error, just a slower resume.
 
 const (
@@ -50,15 +52,11 @@ const (
 	checkpointFile = "txcrawl.checkpoint"
 )
 
-var (
-	snapMagic  = []byte("ENSSNP1\n")
-	snapFooter = []byte("ENSSEND\n")
-)
-
 // ErrSpoolCorrupt marks spool damage that resume cannot safely repair.
 var ErrSpoolCorrupt = errors.New("dataset: corrupt spool")
 
-// spoolEntry is one spooled per-address result.
+// spoolEntry is one spooled per-address result, as recovery decodes it
+// (appendSpoolLine writes it).
 type spoolEntry struct {
 	Address string `json:"address"`
 	Txs     []*Tx  `json:"txs"`
@@ -70,9 +68,10 @@ type spoolEntry struct {
 // spool. onAddressDone is invoked once per covered address — including
 // addresses recovered from the checkpoint — so progress reporting sees
 // the full total. fsync additionally syncs the spool and checkpoint to
-// disk at every completed address. snapEvery > 0 writes a spool
-// snapshot every that many completed addresses (and once at the end),
-// so the next resume replays only the spool tail.
+// disk at every completed address. snapEvery > 0 appends a spool
+// snapshot segment every that many completed addresses (and once at the
+// end), so the next resume replays only the spool tail; each segment
+// costs the transactions absorbed since the previous one.
 func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []ethtypes.Address, workers int, ds *Dataset, onAddressDone func(), fsync bool, snapEvery int, fsys vfs.FS) error {
 	if onAddressDone == nil {
 		onAddressDone = func() {}
@@ -109,17 +108,27 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 	snapPath := filepath.Join(dir, spoolSnapFile)
 
 	// Fast resume: a valid snapshot pre-loads everything the spool held
-	// up to its covered offset, and recovery replays only the tail. Any
-	// snapshot anomaly — torn file, bad framing, offset past the spool —
-	// discards the snapshot and falls back to a full re-parse: the
-	// snapshot is a cache, the spool is the record.
+	// up to its covered offset, and recovery replays only the tail. A
+	// torn final segment only drops that segment; any other snapshot
+	// anomaly — bad framing, offset past the spool — discards the
+	// snapshot and falls back to a full re-parse: the snapshot is a
+	// cache, the spool is the record. A resumed crawl appends to the
+	// snapshot it loaded; otherwise its first snapshot write starts a
+	// fresh file.
 	var startOffset int64
-	snapTxs, covered, snapErr := loadSpoolSnapshot(snapPath)
+	snapW := &spoolSnapWriter{fsys: fsys, path: snapPath, sync: fsync}
+	defer snapW.close()
+	snap, snapErr := loadSpoolSnapshot(snapPath)
 	if snapErr == nil {
-		if fi, err := os.Stat(spoolPath); err == nil && covered <= fi.Size() {
-			absorb(snapTxs)
-			startOffset = covered
-			pm().snapshotRestores.Inc()
+		if fi, err := os.Stat(spoolPath); err == nil && snap.covered <= fi.Size() {
+			absorb(snap.txs)
+			startOffset = snap.covered
+			if len(snap.segs) > 0 {
+				pm().snapshotRestores.Inc()
+			}
+			if snapEvery > 0 {
+				snapW.resume(snap, len(ds.Txs))
+			}
 		} else {
 			discardSpoolSnapshot(snapPath)
 		}
@@ -145,20 +154,17 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 			return fmt.Errorf("dataset: sync resume dir: %w", err)
 		}
 	}
-	spoolEnc := json.NewEncoder(spool)
+	fi, err := spool.Stat()
+	if err != nil {
+		return fmt.Errorf("dataset: stat spool: %w", err)
+	}
+	spoolSize := fi.Size() // bytes spooled so far; read and written under mu
 
-	// writeSnap persists the current absorbed state (mu must be held).
-	// Snapshot failures never fail the crawl — the next resume simply
-	// re-parses the spool.
+	// writeSnap persists what was absorbed since the last snapshot (mu
+	// must be held). Snapshot failures never fail the crawl — the next
+	// resume simply replays more of the spool.
 	writeSnap := func() {
-		fi, err := spool.Stat()
-		if err != nil {
-			return
-		}
-		if writeSpoolSnapshot(fsys, snapPath, ds.Txs, fi.Size(), fsync) != nil {
-			return
-		}
-		pm().snapshotWrites.Inc()
+		_ = snapW.write(ds.Txs, spoolSize) // a failed write is retried as a fresh file next interval
 	}
 	sinceSnap := 0
 
@@ -193,11 +199,18 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 			}
 			rows = append(rows, tx)
 		}
+		// Encode outside the lock: mu covers the spool write, the
+		// checkpoint mark, the absorb and the periodic snapshot segment.
+		line := httpjson.GetSlice()
+		defer httpjson.PutSlice(line)
+		*line = appendSpoolLine(*line, addr, rows)
 		mu.Lock()
 		defer mu.Unlock()
 		// Spool first, then checkpoint: a crash between the two re-crawls
 		// the address (safe), never loses data.
-		if err := spoolEnc.Encode(spoolEntry{Address: strings0x(addr), Txs: rows}); err != nil {
+		n, err := spool.Write(*line)
+		spoolSize += int64(n)
+		if err != nil {
 			return fmt.Errorf("spool %s: %w", addr, err)
 		}
 		if fsync {
@@ -230,77 +243,14 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 		return err
 	}
 	// A final snapshot makes the next resume of a finished (or cleanly
-	// stopped) crawl a single read with an empty tail.
-	if snapEvery > 0 && len(todo) > 0 {
+	// stopped) crawl a single read with an empty tail. It is a no-op when
+	// nothing was absorbed since the last segment.
+	if snapEvery > 0 {
 		mu.Lock()
 		writeSnap()
 		mu.Unlock()
 	}
 	return nil
-}
-
-// writeSpoolSnapshot atomically persists the transactions absorbed so
-// far plus the spool byte offset they cover. The offset is always a
-// line boundary: snapshots are written under the same lock as spool
-// appends, after complete entries only.
-func writeSpoolSnapshot(fsys vfs.FS, path string, txs []*Tx, covered int64, sync bool) error {
-	sorted := slices.Clone(txs)
-	sortTxs(sorted)
-	return writeAtomic(fsys, path, sync, func(f vfs.File) error {
-		w := codec.NewWriter(f)
-		w.Raw(snapMagic)
-		w.U16(binVersion)
-		w.U64(uint64(covered))
-		w.U64(uint64(len(sorted)))
-		encodeTxColumns(w, sorted)
-		w.Raw(snapFooter)
-		return w.Flush()
-	})
-}
-
-// loadSpoolSnapshot reads a spool snapshot. It is strict — any framing,
-// count, or decode anomaly (including truncation at any byte) is an
-// error — because the caller's response is to discard the snapshot and
-// re-parse the spool, never to trust a damaged cache.
-func loadSpoolSnapshot(path string) ([]*Tx, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err // not-exist must stay recognizable to the caller
-	}
-	r := codec.NewReader(data)
-	if magic := r.Raw(len(snapMagic)); r.Err() != nil || !bytes.Equal(magic, snapMagic) {
-		return nil, 0, fmt.Errorf("%w: bad spool snapshot magic", ErrCorrupt)
-	}
-	v := r.U16()
-	covered := r.U64()
-	rows := r.U64()
-	if r.Err() != nil {
-		return nil, 0, fmt.Errorf("%w: truncated spool snapshot header", ErrCorrupt)
-	}
-	if v != binVersion {
-		return nil, 0, fmt.Errorf("dataset: spool snapshot version %d not supported (want %d)", v, binVersion)
-	}
-	if covered > math.MaxInt64 {
-		return nil, 0, fmt.Errorf("%w: spool snapshot offset %d out of range", ErrCorrupt, covered)
-	}
-	if rows > uint64(r.Remaining()) {
-		return nil, 0, fmt.Errorf("%w: spool snapshot declares %d rows in %d bytes", ErrCorrupt, rows, r.Remaining())
-	}
-	txs, err := decodeTxColumns(r, int(rows))
-	if err != nil {
-		return nil, 0, err
-	}
-	if footer := r.Raw(len(snapFooter)); r.Err() != nil || !bytes.Equal(footer, snapFooter) {
-		return nil, 0, fmt.Errorf("%w: bad spool snapshot footer", ErrCorrupt)
-	}
-	if n := r.Remaining(); n != 0 {
-		return nil, 0, fmt.Errorf("%w: %d bytes after spool snapshot footer", ErrCorrupt, n)
-	}
-	out := make([]*Tx, len(txs))
-	for i := range txs {
-		out[i] = &txs[i]
-	}
-	return out, int64(covered), nil
 }
 
 // discardSpoolSnapshot drops an unusable snapshot so it cannot mislead
@@ -403,6 +353,51 @@ func partialSpoolAddress(line []byte) string {
 		return ""
 	}
 	return string(rest[:j])
+}
+
+// appendSpoolLine appends the spool line for one address's crawled
+// transactions to dst: byte-identical to json.Encoder's encoding of
+// spoolEntry{Address: addr, Txs: rows} (HTML escaping on, trailing
+// newline included) for non-nil rows, without reflection. Field order
+// and omitempty follow the Tx struct tags.
+func appendSpoolLine(dst []byte, addr ethtypes.Address, rows []*Tx) []byte {
+	dst = append(dst, `{"address":`...)
+	dst = appendHexString(dst, addr[:])
+	dst = append(dst, `,"txs":[`...)
+	for i, tx := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"hash":`...)
+		dst = appendHexString(dst, tx.Hash[:])
+		dst = append(dst, `,"block":`...)
+		dst = strconv.AppendUint(dst, tx.Block, 10)
+		dst = append(dst, `,"timestamp":`...)
+		dst = strconv.AppendInt(dst, tx.Timestamp, 10)
+		dst = append(dst, `,"from":`...)
+		dst = appendHexString(dst, tx.From[:])
+		dst = append(dst, `,"to":`...)
+		dst = appendHexString(dst, tx.To[:])
+		dst = append(dst, `,"valueWei":`...)
+		dst = httpjson.AppendString(dst, tx.ValueWei)
+		if tx.Failed {
+			dst = append(dst, `,"failed":true`...)
+		}
+		if tx.Method != "" {
+			dst = append(dst, `,"method":`...)
+			dst = httpjson.AppendString(dst, tx.Method)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendHexString appends b as a quoted 0x-prefixed lower-case hex
+// string, the MarshalText form of ethtypes hashes and addresses.
+func appendHexString(dst, b []byte) []byte {
+	dst = append(dst, '"', '0', 'x')
+	dst = hex.AppendEncode(dst, b)
+	return append(dst, '"')
 }
 
 func strings0x(a ethtypes.Address) string {

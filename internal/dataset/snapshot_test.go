@@ -108,81 +108,166 @@ func TestSnapshotResumeSkipsCoveredSpoolPrefix(t *testing.T) {
 	}
 }
 
-// A torn snapshot (any truncation point) must never poison resume: the
-// loader rejects it, resume falls back to the full spool re-parse, and
-// the crawl still converges. Sweep every byte of a small snapshot, then
-// stride across a real crawl's snapshot so cuts land in every section
-// and alignment class.
-func TestTornSnapshotAtEveryByteIsRejected(t *testing.T) {
-	dir := t.TempDir()
-	tinyPath := filepath.Join(dir, "tiny.snap")
-	if err := writeSpoolSnapshot(vfs.OS, tinyPath, tinyDataset(t).Txs, 999, false); err != nil {
-		t.Fatal(err)
+// writeSnapSegments writes a snapshot at path whose i-th segment adds
+// txs[:ends[i]] beyond the previous segment and covers covered[i], and
+// returns the decoded whole file.
+func writeSnapSegments(t *testing.T, path string, txs []*Tx, ends []int, covered []int64) *spoolSnapshot {
+	t.Helper()
+	w := &spoolSnapWriter{fsys: vfs.OS, path: path}
+	defer w.close()
+	for i, end := range ends {
+		if err := w.write(txs[:end], covered[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tiny, err := os.ReadFile(tinyPath)
+	snap, err := loadSpoolSnapshot(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loadSpoolSnapshot(tinyPath); err != nil {
 		t.Fatalf("intact snapshot rejected: %v", err)
 	}
-	cutPath := filepath.Join(dir, "cut.snap")
-	t.Logf("sweeping %d truncation points", len(tiny))
-	for cut := 0; cut < len(tiny); cut++ {
-		if err := os.WriteFile(cutPath, tiny[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := loadSpoolSnapshot(cutPath); err == nil {
-			t.Fatalf("snapshot cut at byte %d of %d loaded without error", cut, len(tiny))
-		}
+	if len(snap.segs) != len(ends) {
+		t.Fatalf("snapshot has %d segments, want %d", len(snap.segs), len(ends))
 	}
+	return snap
+}
 
-	fx := newSnapFixture(t)
-	full, err := os.ReadFile(filepath.Join(fx.dir, spoolSnapFile))
+// checkPrefixOrReject cuts data at cut and demands that the cut either
+// fails to load, or loads exactly the transactions and covered offset
+// of the whole segments of full that end at or before cut — never a
+// partial segment.
+func checkPrefixOrReject(t *testing.T, data []byte, full *spoolSnapshot, cut int) {
+	t.Helper()
+	got, err := decodeSpoolSnapshot(data[:cut])
 	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := []int{0, 1, len(full) - 1, len(full) - len(snapFooter)}
-	for cut := 7; cut < len(full); cut += 4999 {
-		cuts = append(cuts, cut)
-	}
-	for _, cut := range cuts {
-		if err := os.WriteFile(cutPath, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut at byte %d: untyped error %v", cut, err)
 		}
-		if _, _, err := loadSpoolSnapshot(cutPath); err == nil {
-			t.Fatalf("real snapshot cut at byte %d of %d loaded without error", cut, len(full))
+		return
+	}
+	var covered int64
+	rows := 0
+	for _, seg := range full.segs {
+		if seg.end > int64(cut) {
+			break
+		}
+		covered, rows = seg.covered, rows+seg.rows
+	}
+	if got.covered != covered || len(got.txs) != rows {
+		t.Fatalf("cut at byte %d of %d loaded %d txs covering %d, want the whole-segment prefix: %d txs covering %d",
+			cut, len(data), len(got.txs), got.covered, rows, covered)
+	}
+	for i, tx := range got.txs {
+		if *tx != *full.txs[i] {
+			t.Fatalf("cut at byte %d: tx %d differs from the intact snapshot's", cut, i)
 		}
 	}
 }
 
+// A torn snapshot (any truncation point) must never poison resume: a
+// cut either fails to load, or it loads exactly the whole segments
+// before it — a cut on a segment boundary is a valid older snapshot.
+// Sweep every byte of a small multi-segment snapshot, then stride across
+// a real crawl's snapshot so cuts land in every segment and alignment
+// class.
+func TestTornSnapshotAtEveryByteIsRejected(t *testing.T) {
+	tinyPath := filepath.Join(t.TempDir(), "tiny.snap")
+	tinyTxs := tinyDataset(t).Txs
+	tinyFull := writeSnapSegments(t, tinyPath, tinyTxs, []int{1, 3, 3}, []int64{400, 900, 999})
+	tiny, err := os.ReadFile(tinyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("sweeping %d truncation points over %d segments", len(tiny)+1, len(tinyFull.segs))
+	for cut := 0; cut <= len(tiny); cut++ {
+		checkPrefixOrReject(t, tiny, tinyFull, cut)
+	}
+	// Cuts inside the file header leave nothing to trust.
+	for cut := 0; cut < len(snapMagic)+2; cut++ {
+		if _, err := decodeSpoolSnapshot(tiny[:cut]); err == nil {
+			t.Fatalf("snapshot cut inside its header at byte %d loaded", cut)
+		}
+	}
+
+	fx := newSnapFixture(t)
+	data, err := os.ReadFile(filepath.Join(fx.dir, spoolSnapFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := decodeSpoolSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.segs) < 2 {
+		t.Fatalf("real snapshot has %d segments, want several", len(full.segs))
+	}
+	cuts := []int{0, 1, len(data) - 1, len(data) - len(snapFooter), len(data)}
+	for _, seg := range full.segs {
+		cuts = append(cuts, int(seg.end)-1, int(seg.end), int(seg.end)+1)
+	}
+	for cut := 7; cut < len(data); cut += 499 {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
+		if cut >= 0 && cut <= len(data) {
+			checkPrefixOrReject(t, data, full, cut)
+		}
+	}
+}
+
+// A snapshot torn mid-segment restores its whole-segment prefix, heals
+// the torn tail, and converges; one torn inside its header is
+// discarded in favour of the full spool re-parse and converges too.
 func TestTornSnapshotFallsBackAndConverges(t *testing.T) {
 	fx := newSnapFixture(t)
-	reg := obs.NewRegistry()
-	InitMetrics(reg)
-	defer InitMetrics(nil)
-
 	snapPath := filepath.Join(fx.dir, spoolSnapFile)
 	full, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear mid-columns: the classic torn-rename-less write footprint.
-	if err := os.WriteFile(snapPath, full[:len(full)*2/3], 0o644); err != nil {
+	whole, err := decodeSpoolSnapshot(full)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	ds, err := fx.build(t)
-	if err != nil {
-		t.Fatalf("resume with torn snapshot failed: %v", err)
+	for _, tc := range []struct {
+		name               string
+		cut                int
+		restored, fellBack bool
+	}{
+		{"mid-segment", int(whole.segs[len(whole.segs)/2].end) + 5, true, false},
+		{"header", len(snapMagic) + 1, false, true},
+	} {
+		reg := obs.NewRegistry()
+		InitMetrics(reg)
+		if err := os.WriteFile(snapPath, full[:tc.cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := fx.build(t)
+		if err != nil {
+			t.Fatalf("%s: resume with torn snapshot failed: %v", tc.name, err)
+		}
+		fx.checkConverged(t, ds)
+		if got := pm().snapshotRestores.Value() > 0; got != tc.restored {
+			t.Errorf("%s: restored = %v, want %v", tc.name, got, tc.restored)
+		}
+		if got := pm().snapshotFallbacks.Value() > 0; got != tc.fellBack {
+			t.Errorf("%s: fell back = %v, want %v", tc.name, got, tc.fellBack)
+		}
+		// Either way the resume leaves a whole snapshot behind; a
+		// restored one keeps its whole segments and appends after them.
+		after, err := os.ReadFile(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := decodeSpoolSnapshot(after)
+		if err != nil {
+			t.Errorf("%s: snapshot after resume: %v", tc.name, err)
+		} else if snap.size != int64(len(after)) {
+			t.Errorf("%s: snapshot after resume still has a torn tail", tc.name)
+		}
+		if prefix := whole.segs[len(whole.segs)/2].end; tc.restored && !bytes.HasPrefix(after, full[:prefix]) {
+			t.Errorf("%s: resume rewrote the restored segments instead of appending", tc.name)
+		}
 	}
-	fx.checkConverged(t, ds)
-	if got := pm().snapshotFallbacks.Value(); got == 0 {
-		t.Error("fallback metric not incremented")
-	}
-	if got := pm().snapshotRestores.Value(); got != 0 {
-		t.Errorf("torn snapshot counted as a restore (%d)", got)
-	}
+	InitMetrics(nil)
 }
 
 // A healthy snapshot-backed resume restores, converges, and counts as a
@@ -208,25 +293,18 @@ func TestSnapshotResumeConvergesAndCounts(t *testing.T) {
 
 func TestSpoolSnapshotRoundTrip(t *testing.T) {
 	ds := tinyDataset(t)
-	path := filepath.Join(t.TempDir(), "txspool.snap")
-	if err := writeSpoolSnapshot(vfs.OS, path, ds.Txs, 12345, false); err != nil {
-		t.Fatal(err)
+	snap := writeSnapSegments(t, filepath.Join(t.TempDir(), "txspool.snap"), ds.Txs, []int{len(ds.Txs)}, []int64{12345})
+	if snap.covered != 12345 {
+		t.Errorf("covered = %d, want 12345", snap.covered)
 	}
-	txs, covered, err := loadSpoolSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if covered != 12345 {
-		t.Errorf("covered = %d, want 12345", covered)
-	}
-	if len(txs) != len(ds.Txs) {
-		t.Fatalf("%d txs, want %d", len(txs), len(ds.Txs))
+	if len(snap.txs) != len(ds.Txs) {
+		t.Fatalf("%d txs, want %d", len(snap.txs), len(ds.Txs))
 	}
 	want := map[ethtypes.Hash]*Tx{}
 	for _, tx := range ds.Txs {
 		want[tx.Hash] = tx
 	}
-	for _, tx := range txs {
+	for _, tx := range snap.txs {
 		w := want[tx.Hash]
 		if w == nil {
 			t.Fatalf("unexpected tx %s", tx.Hash)
@@ -253,13 +331,14 @@ func TestSnapshotBeyondSpoolIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(fx.dir, spoolSnapFile)
-	txs, _, err := loadSpoolSnapshot(snapPath)
+	snap, err := loadSpoolSnapshot(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSpoolSnapshot(vfs.OS, snapPath, txs, fi.Size()+1000, false); err != nil {
+	if err := os.Remove(snapPath); err != nil {
 		t.Fatal(err)
 	}
+	writeSnapSegments(t, snapPath, snap.txs, []int{len(snap.txs)}, []int64{fi.Size() + 1000})
 
 	ds, err := fx.build(t)
 	if err != nil {
@@ -272,7 +351,7 @@ func TestSnapshotBeyondSpoolIsDiscarded(t *testing.T) {
 }
 
 // The snapshot itself must round-trip byte-identically regardless of the
-// order transactions were absorbed in — writeSpoolSnapshot sorts.
+// order transactions were absorbed in — each segment is sorted.
 func TestSpoolSnapshotIsOrderInsensitive(t *testing.T) {
 	ds := tinyDataset(t)
 	shuffled := append([]*Tx(nil), ds.Txs...)
@@ -281,12 +360,8 @@ func TestSpoolSnapshotIsOrderInsensitive(t *testing.T) {
 	}
 	dir := t.TempDir()
 	p1, p2 := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
-	if err := writeSpoolSnapshot(vfs.OS, p1, ds.Txs, 7, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSpoolSnapshot(vfs.OS, p2, shuffled, 7, false); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapSegments(t, p1, ds.Txs, []int{len(ds.Txs)}, []int64{7})
+	writeSnapSegments(t, p2, shuffled, []int{len(shuffled)}, []int64{7})
 	b1, err := os.ReadFile(p1)
 	if err != nil {
 		t.Fatal(err)

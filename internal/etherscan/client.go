@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -14,6 +13,7 @@ import (
 
 	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/ethtypes"
+	"ensdropcatch/internal/httpjson"
 	"ensdropcatch/internal/overload"
 	"ensdropcatch/internal/trace"
 )
@@ -219,10 +219,11 @@ func (c *Client) doOnce(ctx context.Context, endpoint string) (*envelope, error)
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := httpjson.ReadBody(resp.Body, 64<<20)
 	if err != nil {
 		return nil, err
 	}
+	defer httpjson.PutSlice(body) // env.Result is a copy, not an alias
 	if resp.StatusCode != http.StatusOK {
 		err := fmt.Errorf("etherscan: HTTP %d", resp.StatusCode)
 		if d, ok := crawler.ParseRetryAfter(resp.Header.Get("Retry-After")); ok {
@@ -231,7 +232,7 @@ func (c *Client) doOnce(ctx context.Context, endpoint string) (*envelope, error)
 		return nil, err
 	}
 	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
+	if err := json.Unmarshal(*body, &env); err != nil {
 		return nil, fmt.Errorf("etherscan: decode: %w", err)
 	}
 	return &env, nil
@@ -254,7 +255,7 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 			params := url.Values{
 				"module":     {"account"},
 				"action":     {"txlist"},
-				"address":    {"0x" + hexLower(addr)},
+				"address":    {hex0x(addr)},
 				"startblock": {strconv.FormatUint(startBlock, 10)},
 				"sort":       {"asc"},
 				"page":       {strconv.Itoa(page)},
@@ -270,6 +271,11 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 			}
 			m().clientPages.Inc()
 			m().clientRows.Add(uint64(len(rows)))
+			if out == nil && len(rows) > 0 {
+				// The first page becomes the result in place: filtering
+				// rows into their own prefix copies nothing.
+				out = rows[:0]
+			}
 			for _, r := range rows {
 				// Block-boundary re-reads can duplicate rows; the hash
 				// dedups them.

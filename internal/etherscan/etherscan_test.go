@@ -147,7 +147,7 @@ func TestServerRateLimit(t *testing.T) {
 	defer srv.Close()
 
 	get := func() *envelope {
-		resp, err := http.Get(srv.URL + "/api?module=account&action=txlist&address=0x" + hexLower(addrs[0]) + "&apikey=K")
+		resp, err := http.Get(srv.URL + "/api?module=account&action=txlist&address=" + hex0x(addrs[0]) + "&apikey=K")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestClientSurfacesAPIErrors(t *testing.T) {
 func TestBalanceAction(t *testing.T) {
 	c, addrs := buildChain(t, 0)
 	srv := newTestServer(t, c)
-	resp, err := http.Get(srv.URL + "/api?module=account&action=balance&address=0x" + hexLower(addrs[0]) + "&apikey=k")
+	resp, err := http.Get(srv.URL + "/api?module=account&action=balance&address=" + hex0x(addrs[0]) + "&apikey=k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestResultWindowError(t *testing.T) {
 	srv := newTestServer(t, c)
 	v := url.Values{
 		"module": {"account"}, "action": {"txlist"},
-		"address": {"0x" + hexLower(addrs[0])},
+		"address": {hex0x(addrs[0])},
 		"page":    {strconv.Itoa(3)}, "offset": {strconv.Itoa(MaxOffset)},
 		"apikey": {"k"},
 	}
@@ -324,7 +324,7 @@ func TestTxListPageTwoMatchesSlice(t *testing.T) {
 		t.Helper()
 		v := url.Values{
 			"module": {"account"}, "action": {"txlist"},
-			"address": {"0x" + hexLower(addrs[0])},
+			"address": {hex0x(addrs[0])},
 			"sort":    {"asc"},
 			"page":    {strconv.Itoa(page)}, "offset": {strconv.Itoa(offset)},
 			"apikey": {"k"},
@@ -367,7 +367,7 @@ func TestStartEndBlockFilter(t *testing.T) {
 
 	v := url.Values{
 		"module": {"account"}, "action": {"txlist"},
-		"address":    {"0x" + hexLower(addrs[0])},
+		"address":    {hex0x(addrs[0])},
 		"startblock": {strconv.FormatUint(mid, 10)},
 		"endblock":   {strconv.FormatUint(mid, 10)},
 		"offset":     {"100"},

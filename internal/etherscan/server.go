@@ -223,7 +223,7 @@ func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request) {
 
 	txs := s.chain.TxsByAddress(addr)
 	sort.SliceStable(txs, func(i, j int) bool { return txs[i].BlockNumber < txs[j].BlockNumber })
-	var rows []TxRecord
+	rows := make([]TxRecord, 0, min(offset, len(txs)))
 	skip := (page - 1) * offset
 	ctx := r.Context()
 	for i, tx := range txs {
@@ -261,8 +261,8 @@ func toRecord(tx *chain.Transaction) TxRecord {
 		BlockNumber: strconv.FormatUint(tx.BlockNumber, 10),
 		TimeStamp:   strconv.FormatInt(tx.Timestamp, 10),
 		Hash:        tx.Hash.Hex(),
-		From:        "0x" + hexLower(tx.From),
-		To:          "0x" + hexLower(tx.To),
+		From:        hex0x(tx.From),
+		To:          hex0x(tx.To),
 		Value:       tx.Value.BigInt().String(),
 		IsError:     isErr,
 		Method:      tx.Method,
@@ -270,14 +270,16 @@ func toRecord(tx *chain.Transaction) TxRecord {
 	return rec
 }
 
-func hexLower(a ethtypes.Address) string {
+// hex0x returns a's 0x-prefixed lower-case hex form in one allocation.
+func hex0x(a ethtypes.Address) string {
 	const digits = "0123456789abcdef"
-	out := make([]byte, 40)
+	var out [2 + 2*ethtypes.AddressLength]byte
+	out[0], out[1] = '0', 'x'
 	for i, b := range a {
-		out[2*i] = digits[b>>4]
-		out[2*i+1] = digits[b&0x0f]
+		out[2+2*i] = digits[b>>4]
+		out[2+2*i+1] = digits[b&0x0f]
 	}
-	return string(out)
+	return string(out[:])
 }
 
 func parseUint(s string, def uint64) uint64 {

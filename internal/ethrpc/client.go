@@ -5,12 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/big"
 	"net/http"
 	"time"
 
 	"ensdropcatch/internal/ethtypes"
+	"ensdropcatch/internal/httpjson"
 )
 
 // Client is a minimal JSON-RPC client for the subset Server implements.
@@ -56,15 +56,16 @@ func (c *Client) Call(ctx context.Context, method string, out any, params ...any
 		return fmt.Errorf("ethrpc: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	raw, err := httpjson.ReadBody(resp.Body, 256<<20)
 	if err != nil {
 		return fmt.Errorf("ethrpc: read: %w", err)
 	}
+	defer httpjson.PutSlice(raw) // envelope.Result is a copy, not an alias
 	var envelope struct {
 		Result json.RawMessage `json:"result"`
 		Error  *rpcError       `json:"error"`
 	}
-	if err := json.Unmarshal(raw, &envelope); err != nil {
+	if err := json.Unmarshal(*raw, &envelope); err != nil {
 		return fmt.Errorf("ethrpc: decode: %w", err)
 	}
 	if envelope.Error != nil {

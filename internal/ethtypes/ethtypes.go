@@ -70,35 +70,66 @@ func DeriveAddress(label string) Address {
 // Mixed-case inputs are accepted without checksum verification; use
 // VerifyChecksum for strict EIP-55 validation.
 func ParseAddress(s string) (Address, error) {
-	b, err := parseHex(s, AddressLength)
-	if err != nil {
+	var a Address
+	if err := parseHex(a[:], s); err != nil {
 		return Address{}, fmt.Errorf("parse address %q: %w", s, err)
 	}
-	return BytesToAddress(b), nil
+	return a, nil
 }
 
 // ParseHash parses a 0x-prefixed (or bare) 64-digit hex hash.
 func ParseHash(s string) (Hash, error) {
-	b, err := parseHex(s, HashLength)
-	if err != nil {
+	var h Hash
+	if err := parseHex(h[:], s); err != nil {
 		return Hash{}, fmt.Errorf("parse hash %q: %w", s, err)
 	}
-	return BytesToHash(b), nil
+	return h, nil
 }
 
-func parseHex(s string, want int) ([]byte, error) {
+// parseHex decodes s, with an optional 0x prefix, into exactly dst.
+// Well-formed input decodes in place without allocating; anything else
+// goes through hex.DecodeString for its exact error.
+func parseHex(dst []byte, s string) error {
 	if len(s) >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
 		s = s[2:]
 	}
+	if len(s) == 2*len(dst) && decodeHexInto(dst, s) {
+		return nil
+	}
 	b, err := hex.DecodeString(s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(b) != want {
-		return nil, fmt.Errorf("got %d bytes, want %d", len(b), want)
-	}
-	return b, nil
+	return fmt.Errorf("got %d bytes, want %d", len(b), len(dst))
 }
+
+// decodeHexInto decodes the 2*len(dst) hex digits of s into dst and
+// reports whether every digit was valid.
+func decodeHexInto(dst []byte, s string) bool {
+	for i := range dst {
+		hi, lo := hexNibble[s[2*i]], hexNibble[s[2*i+1]]
+		if hi|lo > 0x0f {
+			return false
+		}
+		dst[i] = hi<<4 | lo
+	}
+	return true
+}
+
+// hexNibble maps each hex digit, either case, to its value and every
+// other byte to 0xff.
+var hexNibble = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+		if c >= 'a' {
+			t[c-'a'+'A'] = byte(i)
+		}
+	}
+	return t
+}()
 
 // Hex returns the EIP-55 checksummed 0x-prefixed representation.
 func (a Address) Hex() string {
@@ -161,7 +192,12 @@ func (a Address) IsZero() bool { return a == ZeroAddress }
 // MarshalText implements encoding.TextMarshaler (lower-case hex for
 // stability of serialized datasets).
 func (a Address) MarshalText() ([]byte, error) {
-	return []byte("0x" + hex.EncodeToString(a[:])), nil
+	return appendHex0x(make([]byte, 0, 2+2*AddressLength), a[:]), nil
+}
+
+// appendHex0x appends b's 0x-prefixed lower-case hex form to dst.
+func appendHex0x(dst, b []byte) []byte {
+	return hex.AppendEncode(append(dst, '0', 'x'), b)
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
@@ -175,7 +211,10 @@ func (a *Address) UnmarshalText(text []byte) error {
 }
 
 // Hex returns the 0x-prefixed lower-case hex form.
-func (h Hash) Hex() string { return "0x" + hex.EncodeToString(h[:]) }
+func (h Hash) Hex() string {
+	var buf [2 + 2*HashLength]byte
+	return string(appendHex0x(buf[:0], h[:]))
+}
 
 // String returns the hex form.
 func (h Hash) String() string { return h.Hex() }

@@ -139,3 +139,34 @@ func TestQuickChecksumSelfConsistent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Parsing and formatting sit on every crawl page: well-formed input
+// parses without allocating, Hex and MarshalText allocate at most once,
+// and the in-place decoder accepts mixed-case digits and rejects bad
+// digits and lengths.
+func TestHexParseAndFormatAllocations(t *testing.T) {
+	const addr = "0x52908400098527886E0F7030069857D2E4169EE7"
+	const hash = "0xC5D2460186F7233C927E7DB2DCC703C0E500B653CA82273B7BFAD8045D85A470"
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseAddress(addr) }); n != 0 {
+		t.Errorf("ParseAddress allocates %v times, want 0", n)
+	}
+	h, err := ParseHash(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Hex(); got != strings.ToLower(hash) {
+		t.Errorf("Hex = %s, want %s", got, strings.ToLower(hash))
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = h.Hex() }); n > 1 {
+		t.Errorf("Hash.Hex allocates %v times, want at most 1", n)
+	}
+	a := BytesToAddress(h[:])
+	if n := testing.AllocsPerRun(100, func() { _, _ = a.MarshalText() }); n > 1 {
+		t.Errorf("Address.MarshalText allocates %v times, want at most 1", n)
+	}
+	for _, bad := range []string{hash[:65] + "g", hash[:64], hash + "00", "0x"} {
+		if _, err := ParseHash(bad); err == nil {
+			t.Errorf("ParseHash(%q) succeeded, want error", bad)
+		}
+	}
+}

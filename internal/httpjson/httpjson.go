@@ -11,12 +11,14 @@
 // It also exports AppendString, an encoding/json-compatible string
 // escaper (HTML escaping included), for handlers that serialize rows
 // manually instead of through reflection — the subgraph server's page
-// encoder is the heavy user.
+// encoder is the heavy user — and ReadBody, the pooled read the crawl
+// clients decode response bodies from.
 package httpjson
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -84,6 +86,35 @@ func PutSlice(p *[]byte) {
 	}
 }
 
+// ReadBody reads at most limit bytes of r into a pooled scratch slice,
+// for clients that decode a response body and drop it. Pair with
+// PutSlice once decoding is done: nothing decoded may alias the bytes
+// by then. json.Unmarshal copies everything it keeps, json.RawMessage
+// included. The slice grows by reading, never from a declared length,
+// so a lying Content-Length cannot drive an allocation. On error the
+// slice is already back in the pool.
+func ReadBody(r io.Reader, limit int64) (*[]byte, error) {
+	p := GetSlice()
+	b := *p
+	lr := io.LimitReader(r, limit)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth
+		}
+		n, err := lr.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			*p = b
+			return p, nil
+		}
+		if err != nil {
+			*p = b
+			PutSlice(p)
+			return nil, err
+		}
+	}
+}
+
 // Write encodes v as JSON into a pooled buffer and writes it as the
 // response body with the given status, Content-Type application/json,
 // and an exact Content-Length. Encoding errors are returned before any
@@ -119,7 +150,8 @@ const hexDigits = "0123456789abcdef"
 
 // AppendString appends s as a JSON string literal (quotes included) to
 // dst, byte-identical to encoding/json's default encoding: control
-// characters, quotes, and backslashes are escaped, HTML-sensitive
+// characters (\n \r \t \b \f in short form, the rest as \u00XX),
+// quotes, and backslashes are escaped, HTML-sensitive
 // characters (<, >, &) become \u00XX, invalid UTF-8 becomes U+FFFD, and
 // U+2028/U+2029 are escaped for JavaScript embedding.
 func AppendString(dst []byte, s string) []byte {
@@ -143,6 +175,10 @@ func AppendString(dst []byte, s string) []byte {
 				dst = append(dst, '\\', 'r')
 			case '\t':
 				dst = append(dst, '\\', 't')
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			default:
 				// Other control chars plus <, >, & take the \u00XX form.
 				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])

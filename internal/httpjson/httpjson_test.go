@@ -2,11 +2,13 @@ package httpjson
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -92,6 +94,7 @@ func TestAppendStringKnownCases(t *testing.T) {
 		"gold.eth",
 		`quote " backslash \`,
 		"tab\t nl\n cr\r nul\x00 ctl\x1f",
+		"backspace\b formfeed\f del\x7f",
 		"html <b>&amp;</b>",
 		"unicode: 名前 héllo",
 		"line seps   and  ",
@@ -130,6 +133,31 @@ func TestBufferPoolRoundTrip(t *testing.T) {
 		t.Errorf("pooled buffer not reset: %q", again.String())
 	}
 	PutBuffer(again)
+}
+
+// ReadBody returns exactly the body, capped at the limit, across
+// buffer growth; a failing reader surfaces its error.
+func TestReadBody(t *testing.T) {
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 300_000} {
+		want := strings.Repeat("x", n)
+		p, err := ReadBody(strings.NewReader(want), 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(*p) != want {
+			t.Fatalf("ReadBody of %d bytes returned %d", n, len(*p))
+		}
+		PutSlice(p)
+	}
+	p, err := ReadBody(strings.NewReader("0123456789"), 4)
+	if err != nil || string(*p) != "0123" {
+		t.Fatalf("limited ReadBody = %q, %v; want \"0123\"", *p, err)
+	}
+	PutSlice(p)
+	boom := errors.New("boom")
+	if _, err := ReadBody(iotest.ErrReader(boom), 10); !errors.Is(err, boom) {
+		t.Fatalf("ReadBody error = %v, want %v", err, boom)
+	}
 }
 
 func BenchmarkWritePooled(b *testing.B) {

@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -279,12 +278,14 @@ func (c *Client) doOnce(ctx context.Context, endpoint string) (*eventsResponse, 
 		m().errors.Inc()
 		return nil, fmt.Errorf("opensea: %w", err)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := httpjson.ReadBody(resp.Body, 16<<20)
 	_ = resp.Body.Close() // read side; the read error above is what matters
 	if err != nil {
 		m().errors.Inc()
 		return nil, fmt.Errorf("opensea: read: %w", err)
 	}
+	defer httpjson.PutSlice(raw) // the decoded page copies what it keeps
+	body := *raw
 	if resp.StatusCode != http.StatusOK {
 		m().errors.Inc()
 		statusErr := fmt.Errorf("opensea: HTTP %d: %s", resp.StatusCode, body)

@@ -205,7 +205,8 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 			return
 		}
 		misses.Inc()
-		rec := &recorder{w: w, status: http.StatusOK, maxBody: c.maxBody}
+		rec := &recorder{w: w, status: http.StatusOK, maxBody: c.maxBody, buf: getScratch()}
+		defer putScratch(rec.buf)
 		next.ServeHTTP(rec, r)
 		if rec.overflowed || rec.status != http.StatusOK ||
 			strings.Contains(strings.ToLower(rec.w.Header().Get("Cache-Control")), "no-store") {
@@ -214,11 +215,13 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 			rec.finish()
 			return
 		}
+		// The entry keeps an exact-size copy; the scratch buffer and its
+		// slack go back to the pool.
 		e := &entry{
 			key:         k,
 			etag:        etagFor(rec.buf.Bytes()),
 			contentType: rec.w.Header().Get("Content-Type"),
-			body:        append([]byte(nil), rec.buf.Bytes()...),
+			body:        bytes.Clone(rec.buf.Bytes()),
 		}
 		c.put(e)
 		serve(w, r, e, "MISS", notModified)
@@ -252,6 +255,24 @@ type readCloser struct {
 	io.Closer
 }
 
+// scratchPool recycles the recorders' body buffers across misses, so a
+// miss allocates only the stored copy of its body.
+var scratchPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getScratch() *bytes.Buffer {
+	buf := scratchPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+// putScratch returns buf to the pool unless a body past the cacheable
+// bound grew it (bytes.Buffer may overshoot the bound by its doubling).
+func putScratch(buf *bytes.Buffer) {
+	if buf.Cap() <= 2*DefaultMaxBody {
+		scratchPool.Put(buf)
+	}
+}
+
 // recorder buffers a response so the cache can inspect and store it
 // before anything reaches the wire. If the body outgrows maxBody the
 // recorder flushes what it has and degrades to pass-through streaming —
@@ -260,7 +281,7 @@ type recorder struct {
 	w          http.ResponseWriter
 	status     int
 	wroteHdr   bool
-	buf        bytes.Buffer
+	buf        *bytes.Buffer // pooled; see getScratch
 	maxBody    int
 	overflowed bool
 }

@@ -5,12 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
 	"ensdropcatch/internal/crawler"
+	"ensdropcatch/internal/httpjson"
 	"ensdropcatch/internal/overload"
 	"ensdropcatch/internal/trace"
 )
@@ -150,11 +150,13 @@ func (c *Client) doOnce(ctx context.Context, body []byte) (map[string][]Entity, 
 		return nil, fmt.Errorf("subgraph client: do: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	buf, err := httpjson.ReadBody(resp.Body, 64<<20)
 	if err != nil {
 		m().errors.Inc()
 		return nil, fmt.Errorf("subgraph client: read: %w", err)
 	}
+	defer httpjson.PutSlice(buf) // the decoded envelope copies what it keeps
+	raw := *buf
 	if resp.StatusCode != http.StatusOK {
 		m().errors.Inc()
 		statusErr := fmt.Errorf("subgraph client: status %d: %s", resp.StatusCode, truncate(string(raw), 200))
